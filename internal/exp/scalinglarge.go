@@ -19,8 +19,8 @@ import (
 // and therefore machine-dependent; every other column is
 // bit-reproducible from the seed. The trailing cB/node column is the
 // delta-encoded compact adjacency (graph.Compact) in bytes per node —
-// the representation the routers iterate under SetCompactRouting, with
-// decisions byte-identical to the flat CSR.
+// a measured encoding that decodes to exactly the flat CSR rows; no
+// router iterates it.
 func E20LargeScale(scale Scale, seed uint64) Table {
 	t := Table{
 		ID:      "E20",

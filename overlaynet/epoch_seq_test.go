@@ -10,6 +10,24 @@ import (
 	"smallworld/xrand"
 )
 
+// flatCapture is the PR8-era O(N) per-epoch copy, kept as the paired
+// A/B baseline: BenchmarkPublishEpoch measures it against the
+// structural-sharing capture, and the epoch-sequence test uses it as
+// the bit-identical flat reference for every published epoch.
+type flatCapture struct {
+	keys  []keyspace.Key
+	byKey keyspace.Points
+	order []int32
+}
+
+func (o *incrementalOverlay) captureFlat() flatCapture {
+	return flatCapture{
+		keys:  append([]keyspace.Key(nil), o.keys...),
+		byKey: append(keyspace.Points(nil), o.byKey...),
+		order: append([]int32(nil), o.order...),
+	}
+}
+
 // TestEpochSequenceBitIdentical drives 1k churn events through the
 // chunked-snapshot path, capturing a snapshot after every event, and
 // pins each epoch's Keys()/rank lookups bit-identical to the flat-copy

@@ -19,7 +19,10 @@ import (
 // fallback to the next-best neighbour. It generalises the legacy
 // Network's RouteGreedyAvoiding/RouteBacktracking to the serving path:
 // instead of an omniscient FailSet consulted for free, failure is
-// something the router discovers by paying timeouts for it.
+// something the router discovers by paying timeouts for it. The
+// per-hop discipline itself — candidates, resends, fallback, verdicts —
+// is RobustHop (robusthop.go), which package sim's message flights
+// drive too; this file supplies the synchronous clock.
 
 // Transport is the message plane robust routing sends hops through.
 // netmodel.Model implements it; tests substitute scripted planes.
@@ -175,9 +178,7 @@ type RobustRouter struct {
 	pol    RobustPolicy
 	rng    *xrand.Stream
 
-	cands []int32
-	dists []float64
-	candJ []int32 // candidate's index in cur's out-row (link accounting)
+	hop RobustHop // per-hop retry machine; its candidate scratch is reused
 
 	// Observability, inherited from the pinned snapshot on Rebind or
 	// pinned directly via SetObs. nil hooks = one nil check per query.
@@ -290,12 +291,6 @@ func (r *RobustRouter) neighborsView(u int) []int32 {
 	return r.ov.Neighbors(u)
 }
 
-// maskDead reports whether the published fault mask marks slot u dead
-// (the snapshot-learned knowledge a router may legitimately act on).
-func (r *RobustRouter) maskDead(u int) bool {
-	return r.snap != nil && r.snap.faults != nil && r.snap.faults.dead[u]
-}
-
 // RouteRobust routes one query from node src to the peer responsible
 // for target, paying for every fault the Transport injects.
 func (r *RobustRouter) RouteRobust(src int, target keyspace.Key) RobustResult {
@@ -341,7 +336,13 @@ func (r *RobustRouter) routeRobust(src int, target keyspace.Key, trc *obs.Trace)
 		res.Outcome = Unroutable
 		return res
 	}
-	if r.maskDead(src) || (r.oracle != nil && r.oracle.Dead(keys[src])) {
+	// The published fault mask is the snapshot-learned knowledge a
+	// router may legitimately act on: masked nodes are never tried.
+	var dead []bool
+	if r.snap != nil && r.snap.faults != nil {
+		dead = r.snap.faults.dead
+	}
+	if (dead != nil && dead[src]) || (r.oracle != nil && r.oracle.Dead(keys[src])) {
 		// A crashed node originates nothing.
 		res.Outcome = Unroutable
 		return res
@@ -355,9 +356,10 @@ func (r *RobustRouter) routeRobust(src int, target keyspace.Key, trc *obs.Trace)
 	if r.snap != nil && r.snap.obs != nil {
 		links = r.snap.obs.links
 	}
+	h := &r.hop
+	h.Reset(&r.pol)
 	cur := src
 	dCur := r.topo.Distance(keys[cur], target)
-	degraded := false
 	for {
 		if res.Hops >= maxHops {
 			res.Outcome, res.Dest = TimedOut, cur
@@ -384,7 +386,7 @@ func (r *RobustRouter) routeRobust(src int, target keyspace.Key, trc *obs.Trace)
 					res.Latency += d.Latency
 					res.Hops++
 					cur, dCur = v, dv
-					degraded, hijacked = true, true
+					h.Degraded, hijacked = true, true
 				}
 			}
 			if !hijacked {
@@ -397,213 +399,75 @@ func (r *RobustRouter) routeRobust(src int, target keyspace.Key, trc *obs.Trace)
 			}
 			continue
 		}
-		nc := r.buildCandidates(cur, target, dCur, keys)
-		if nc == 0 {
-			return r.classifyStop(res, cur, dCur, target, keys, degraded)
-		}
-		advanced := false
-		sawLost := false
-		for ci := 0; ci < nc && !advanced; ci++ {
-			v := int(r.cands[ci])
-			if ci > 0 {
-				degraded = true // next-best fallback in use
-			}
-			backoff := pol.Backoff
-			for attempt := 0; ; attempt++ {
-				var d netmodel.Delivery
-				if r.tr != nil {
-					d = r.tr.Send(keys[cur], keys[v])
-				}
-				if d.Status == netmodel.SendOK {
-					if links != nil {
-						atomic.AddUint64(&links[r.snap.csr.RowStart(cur)+int(r.candJ[ci])], 1)
-					}
-					trc.Hop(res.Latency, d.Latency, int32(v), ci, attempt, obs.SpanHop, r.dists[ci])
-					res.Latency += d.Latency
-					res.Hops++
-					cur, dCur = v, r.dists[ci]
-					advanced = true
-					break
-				}
-				// The sender cannot tell a lost message from a dead peer:
-				// both are a timeout. It retries either way; only the
-				// classifier distinguishes them.
-				trc.Hop(res.Latency, pol.HopTimeout, int32(v), ci, attempt, obs.SpanTimeout, r.dists[ci])
-				res.Latency += pol.HopTimeout
-				if d.Status == netmodel.SendLost {
-					sawLost = true
-				}
-				if attempt >= pol.Retries {
-					break
-				}
-				res.Retries++
-				degraded = true
-				res.Latency += r.backoffWait(&backoff)
-			}
-		}
-		if !advanced {
-			res.Dest = cur
-			if sawLost {
-				res.Outcome = TimedOut
-			} else {
-				res.Outcome = Unroutable
-			}
+		if h.Select(r.topo, r.neighborsView(cur), keys, dead, keys[cur], target, dCur) == 0 {
+			res.Outcome, res.Dest = r.classifyStop(dCur, target, keys), cur
 			return res
 		}
+		for {
+			c := h.Cand()
+			var d netmodel.Delivery
+			if r.tr != nil {
+				d = r.tr.Send(keys[cur], c.Key)
+			}
+			if d.Status == netmodel.SendOK {
+				if links != nil {
+					atomic.AddUint64(&links[r.snap.csr.RowStart(cur)+int(c.J)], 1)
+				}
+				trc.Hop(res.Latency, d.Latency, c.Slot, h.Index(), h.Attempt(), obs.SpanHop, c.D)
+				res.Latency += d.Latency
+				res.Hops++
+				cur, dCur = int(c.Slot), c.D
+				break
+			}
+			trc.Hop(res.Latency, pol.HopTimeout, c.Slot, h.Index(), h.Attempt(), obs.SpanTimeout, c.D)
+			res.Latency += pol.HopTimeout
+			step, wait := h.Fail(d.Status == netmodel.SendLost, r.rng)
+			if step == HopExhausted {
+				res.Outcome, res.Dest = h.Exhausted(), cur
+				return res
+			}
+			if step == HopRetry {
+				res.Retries++
+				res.Latency += wait
+			}
+		}
 	}
 }
 
-// backoffWait returns the next backoff wait (jittered) and doubles the
-// base for the following one.
-func (r *RobustRouter) backoffWait(base *float64) float64 {
-	w := *base
-	*base *= 2
-	if r.pol.Jitter > 0 {
-		w *= 1 + r.pol.Jitter*(2*r.rng.Float64()-1)
-	}
-	return w
-}
-
-// buildCandidates fills r.cands/r.dists with cur's improving,
-// mask-live out-neighbours in ascending distance order and returns the
-// count. Scratch is reused: zero allocations once warm.
-func (r *RobustRouter) buildCandidates(cur int, target keyspace.Key, dCur float64, keys []keyspace.Key) int {
-	topo := r.topo
-	curKey := keys[cur]
-	r.cands = r.cands[:0]
-	r.dists = r.dists[:0]
-	r.candJ = r.candJ[:0]
-	for j, v := range r.neighborsView(cur) {
-		if r.maskDead(int(v)) {
-			continue
-		}
-		vKey := keys[v]
-		d := topo.Distance(vKey, target)
-		if d < dCur || (d == dCur && topo.Advances(curKey, vKey, target)) {
-			r.cands = append(r.cands, v)
-			r.dists = append(r.dists, d)
-			r.candJ = append(r.candJ, int32(j))
-		}
-	}
-	// Insertion sort by distance; candidate lists are short.
-	for i := 1; i < len(r.cands); i++ {
-		for j := i; j > 0 && r.dists[j] < r.dists[j-1]; j-- {
-			r.dists[j], r.dists[j-1] = r.dists[j-1], r.dists[j]
-			r.cands[j], r.cands[j-1] = r.cands[j-1], r.cands[j]
-			r.candJ[j], r.candJ[j-1] = r.candJ[j-1], r.candJ[j]
-		}
-	}
-	return len(r.cands)
-}
-
-// classifyStop types a query that stopped at a live local minimum:
-// Delivered when cur is a minimal-distance node for the target,
-// DeliveredDegraded when cur is merely the closest *live* node (the
-// responsible node itself is crashed), Unroutable otherwise — a live
-// improvement exists but no live path reaches it from here.
-func (r *RobustRouter) classifyStop(res RobustResult, cur int, dCur float64, target keyspace.Key, keys []keyspace.Key, degraded bool) RobustResult {
-	res.Dest = cur
-	arrivedClean := false
-	if r.snap != nil {
-		s := r.snap
+// classifyStop types a query that stopped at a live local minimum at
+// distance dCur (see RobustHop.Stop). A snapshot finds the nearest and
+// nearest live nodes through its rank index, a generic overlay by
+// scanning its keys; the nearest live one is looked up only when the
+// stop is not a nearest node, and only where a fault mask or a dead
+// oracle says anything about liveness.
+func (r *RobustRouter) classifyStop(dCur float64, target keyspace.Key, keys []keyspace.Key) Outcome {
+	dNearest, dLive := -1.0, -1.0
+	if s := r.snap; s != nil {
 		if i := s.rank.Nearest(s.topo, target); i >= 0 {
-			arrivedClean = dCur <= s.topo.Distance(s.rank.KeyAt(i), target)
-		}
-	} else {
-		best := r.topo.MaxDistance() + 1
-		for _, k := range keys {
-			if d := r.topo.Distance(k, target); d < best {
-				best = d
-			}
-		}
-		arrivedClean = dCur <= best
-	}
-	if arrivedClean {
-		if degraded {
-			res.Outcome = DeliveredDegraded
-		} else {
-			res.Outcome = Delivered
-		}
-		return res
-	}
-	// The responsible node may be dead: stopping at the closest live
-	// node is still a (degraded) delivery.
-	if dLive, ok := r.nearestLiveDistance(target, keys); ok && dCur <= dLive {
-		res.Outcome = DeliveredDegraded
-		return res
-	}
-	res.Outcome = Unroutable
-	return res
-}
-
-// nearestLiveDistance returns the distance from target to the closest
-// node that is neither mask-dead nor oracle-dead, and whether any
-// liveness information was available at all (without a mask or an
-// oracle there is nothing to soften, and the clean check already
-// decided).
-func (r *RobustRouter) nearestLiveDistance(target keyspace.Key, keys []keyspace.Key) (float64, bool) {
-	hasMask := r.snap != nil && r.snap.faults != nil
-	if !hasMask && r.oracle == nil {
-		return 0, false
-	}
-	best := r.topo.MaxDistance() + 1
-	found := false
-	if r.snap != nil {
-		// Rank-outward scan from the nearest rank: each directional walk
-		// stops at its first live hit, so the cost is the dead run
-		// around the target, not N (same argument as the snapshot's own
-		// nearestLiveDistance).
-		s := r.snap
-		n := s.rank.n
-		if n == 0 {
-			return 0, false
-		}
-		start := s.rank.Nearest(s.topo, target)
-		deadAt := func(i int) bool {
-			if hasMask && s.faults.dead[s.rank.SlotAt(i)] {
-				return true
-			}
-			return r.oracle != nil && r.oracle.Dead(s.rank.KeyAt(i))
-		}
-		for step, i := 0, start; step < n; step++ {
-			if !deadAt(i) {
-				if d := s.topo.Distance(s.rank.KeyAt(i), target); d < best {
-					best, found = d, true
+			dNearest = s.topo.Distance(s.rank.KeyAt(i), target)
+			if dCur > dNearest && (s.faults != nil || r.oracle != nil) {
+				if d, ok := s.nearestLiveDistance(target, i, r.oracle); ok {
+					dLive = d
 				}
-				break
-			}
-			i++
-			if i == n {
-				if s.topo != keyspace.Ring {
-					break
-				}
-				i = 0
 			}
 		}
-		for step, i := 0, start; step < n; step++ {
-			if !deadAt(i) {
-				if d := s.topo.Distance(s.rank.KeyAt(i), target); d < best {
-					best, found = d, true
-				}
-				break
-			}
-			i--
-			if i < 0 {
-				if s.topo != keyspace.Ring {
-					break
-				}
-				i = n - 1
-			}
-		}
-		return best, found
+		return r.hop.Stop(dCur, dNearest, dLive)
 	}
+	dNearest = r.topo.MaxDistance() + 1
 	for _, k := range keys {
-		if r.oracle.Dead(k) {
-			continue
-		}
-		if d := r.topo.Distance(k, target); d < best {
-			best, found = d, true
+		if d := r.topo.Distance(k, target); d < dNearest {
+			dNearest = d
 		}
 	}
-	return best, found
+	if dCur > dNearest && r.oracle != nil {
+		for _, k := range keys {
+			if r.oracle.Dead(k) {
+				continue
+			}
+			if d := r.topo.Distance(k, target); dLive < 0 || d < dLive {
+				dLive = d
+			}
+		}
+	}
+	return r.hop.Stop(dCur, dNearest, dLive)
 }

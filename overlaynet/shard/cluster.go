@@ -223,14 +223,14 @@ func (sv *server) walk(snap *overlaynet.Snapshot, origin wire.Addr, corr uint64,
 		local++
 		cur, dCur = next, dNext
 		if owner := sv.c.m.Of(snap.Key(cur)); owner != sv.i {
-			sv.forward(owner, origin, corr, cur, dCur, target, hops, crossings+1)
 			sv.account(local, 0, false)
+			sv.forward(owner, origin, corr, cur, dCur, target, hops, crossings+1)
 			return
 		}
 	}
 	arrived := snap.GreedyArrived(dCur, target)
-	sv.sendResult(origin, corr, cur, hops, crossings, arrived)
 	sv.account(local, crossings, true)
+	sv.sendResult(origin, corr, cur, hops, crossings, arrived)
 }
 
 // forward hands the query to the shard owning the current node's key.
@@ -274,7 +274,9 @@ func (sv *server) send(to wire.Addr, typ uint8, corr uint64, payload []byte) {
 	_ = sv.c.tr.Send(to, sv.fbuf)
 }
 
-// account flushes one walk segment's counters.
+// account flushes one walk segment's counters. Walks call it before
+// the frame leaves: once the result reaches the client, every shard's
+// counters for that query are already in.
 func (sv *server) account(local, crossings int, terminal bool) {
 	reg := sv.c.reg
 	if reg == nil {

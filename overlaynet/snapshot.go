@@ -298,10 +298,7 @@ func (r *SnapshotRouter) route(src int, target keyspace.Key, tr *obs.Trace) Resu
 		}
 		return r.inner.Route(src, target)
 	}
-	if s.topo == keyspace.Ring {
-		return r.routeRing(src, target, tr)
-	}
-	return r.routeLine(src, target, tr)
+	return r.walk(src, target, tr)
 }
 
 // routeObserved routes against an instrumented snapshot: counters,
@@ -345,42 +342,28 @@ func (r *SnapshotRouter) bindObs(h *obsHooks) {
 	r.hooks = h
 }
 
-func (r *SnapshotRouter) routeRing(src int, target keyspace.Key, tr *obs.Trace) Result {
+// walk is the greedy loop over the snapshot's CSR. It picks the
+// geometry's step function inline on each hop: a dispatch method would
+// not inline and would add a call level per hop.
+func (r *SnapshotRouter) walk(src int, target keyspace.Key, tr *obs.Trace) Result {
 	s := r.s
 	var links []uint64
 	if s.obs != nil {
 		links = s.obs.links
 	}
+	ring := s.topo == keyspace.Ring
 	cur := src
 	dCur := s.greedyDistance(cur, target)
 	guard := 2 * s.keys.n
 	hops := 0
 	for ; hops < guard; hops++ {
-		best, bestD, bestJ := s.stepRing(cur, dCur, target)
-		if best == -1 {
-			break
+		var best, bestJ int
+		var bestD float64
+		if ring {
+			best, bestD, bestJ = s.stepRing(cur, dCur, target)
+		} else {
+			best, bestD, bestJ = s.stepLine(cur, dCur, target)
 		}
-		if links != nil {
-			atomic.AddUint64(&links[s.csr.RowStart(cur)+bestJ], 1)
-		}
-		tr.Hop(float64(hops), 1, int32(best), bestJ, 0, obs.SpanHop, bestD)
-		cur, dCur = best, bestD
-	}
-	return Result{Hops: hops, Dest: cur, Arrived: r.arrived(dCur, target)}
-}
-
-func (r *SnapshotRouter) routeLine(src int, target keyspace.Key, tr *obs.Trace) Result {
-	s := r.s
-	var links []uint64
-	if s.obs != nil {
-		links = s.obs.links
-	}
-	cur := src
-	dCur := s.greedyDistance(cur, target)
-	guard := 2 * s.keys.n
-	hops := 0
-	for ; hops < guard; hops++ {
-		best, bestD, bestJ := s.stepLine(cur, dCur, target)
 		if best == -1 {
 			break
 		}
@@ -518,16 +501,6 @@ func (s *Snapshot) GreedyStep(cur int, dCur float64, target keyspace.Key) (next 
 	return next, dNext
 }
 
-// GreedyStepJ is GreedyStep plus the chosen neighbour's position j in
-// cur's adjacency row — what per-edge side tables (obs link counters)
-// key on. j is -1 when next is.
-func (s *Snapshot) GreedyStepJ(cur int, dCur float64, target keyspace.Key) (next int, dNext float64, j int) {
-	if s.topo == keyspace.Ring {
-		return s.stepRing(cur, dCur, target)
-	}
-	return s.stepLine(cur, dCur, target)
-}
-
 // GreedyGuard is the walk's hop bound, identical to Route's: a query
 // may take at most 2·N improving steps.
 func (s *Snapshot) GreedyGuard() int { return 2 * s.keys.n }
@@ -563,7 +536,7 @@ func (s *Snapshot) arrivedAt(d float64, target keyspace.Key) bool {
 	if s.faults == nil || !s.faults.dead[s.rank.SlotAt(nearest)] {
 		return d <= s.topo.Distance(s.rank.KeyAt(nearest), target)
 	}
-	best, ok := s.nearestLiveDistance(target, nearest)
+	best, ok := s.nearestLiveDistance(target, nearest, nil)
 	if !ok {
 		return false
 	}
@@ -571,49 +544,39 @@ func (s *Snapshot) arrivedAt(d float64, target keyspace.Key) bool {
 }
 
 // nearestLiveDistance returns the distance from target to the closest
-// mask-live node, scanning rank-outward from the nearest rank. Each
-// directional scan may stop at its first live hit: arc displacement
-// grows monotonically per direction, and the true nearest live node is
-// the closer of the two first hits. Reports false when every node is
-// masked.
-func (s *Snapshot) nearestLiveDistance(target keyspace.Key, start int) (float64, bool) {
+// live node — not masked dead and, when oracle is non-nil, not dead by
+// the oracle — scanning rank-outward from start, the nearest rank.
+// Each directional scan may stop at its first live hit: arc
+// displacement grows monotonically per direction, and the true nearest
+// live node is the closer of the two first hits. Reports false when
+// every node is dead.
+func (s *Snapshot) nearestLiveDistance(target keyspace.Key, start int, oracle deadOracle) (float64, bool) {
 	n := s.rank.n
-	dead := s.faults.dead
-	if s.faults.n >= n {
-		return 0, false
+	var dead []bool
+	if s.faults != nil {
+		dead = s.faults.dead
+		if oracle == nil && s.faults.n >= n {
+			return 0, false
+		}
 	}
 	best := s.topo.MaxDistance() + 1
 	found := false
-	// Ascending-key direction (clockwise on the ring).
-	for step, i := 0, start; step < n; step++ {
-		if !dead[s.rank.SlotAt(i)] {
-			if d := s.topo.Distance(s.rank.KeyAt(i), target); d < best {
-				best, found = d, true
-			}
-			break
-		}
-		i++
-		if i == n {
-			if s.topo != keyspace.Ring {
+	// Ascending keys (clockwise on the ring), then descending.
+	for _, dir := range [2]int{1, -1} {
+		for step, i := 0, start; step < n; step++ {
+			if (dead == nil || !dead[s.rank.SlotAt(i)]) && (oracle == nil || !oracle.Dead(s.rank.KeyAt(i))) {
+				if d := s.topo.Distance(s.rank.KeyAt(i), target); d < best {
+					best, found = d, true
+				}
 				break
 			}
-			i = 0
-		}
-	}
-	// Descending-key direction (counter-clockwise).
-	for step, i := 0, start; step < n; step++ {
-		if !dead[s.rank.SlotAt(i)] {
-			if d := s.topo.Distance(s.rank.KeyAt(i), target); d < best {
-				best, found = d, true
+			i += dir
+			if i == n || i < 0 {
+				if s.topo != keyspace.Ring {
+					break
+				}
+				i = (i + n) % n
 			}
-			break
-		}
-		i--
-		if i < 0 {
-			if s.topo != keyspace.Ring {
-				break
-			}
-			i = n - 1
 		}
 	}
 	return best, found

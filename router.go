@@ -91,15 +91,7 @@ func (r *Router) RouteToNode(src, dst int) Route {
 // rather than a call through Topology.Distance.
 func (r *Router) RouteGreedy(src int, target keyspace.Key) Route {
 	var rt Route
-	ring := r.nw.cfg.Topology == keyspace.Ring
-	if r.nw.compactRoute.Load() {
-		// Same walk over the delta-encoded adjacency (compactroute.go).
-		if ring {
-			rt = r.routeGreedyRingCompact(src, target)
-		} else {
-			rt = r.routeGreedyLineCompact(src, target)
-		}
-	} else if ring {
+	if r.nw.cfg.Topology == keyspace.Ring {
 		rt = r.routeGreedyRing(src, target)
 	} else {
 		rt = r.routeGreedyLine(src, target)

@@ -10,11 +10,12 @@ import (
 // This file is the engine's message plane: when a scenario configures
 // Faults, every query becomes a flight — a sequence of evHop events,
 // each one send attempt over the netmodel plane — instead of an
-// instantaneous Route call. The per-hop discipline mirrors
-// overlaynet.RobustRouter (same RobustPolicy semantics, same typed
-// outcomes), re-expressed in event-driven form so link latencies,
-// timeouts and backoff waits advance the virtual clock and interleave
-// with churn: a node can depart while a query sits on it.
+// instantaneous Route call. Each flight drives an
+// overlaynet.RobustHop, the retry machine RobustRouter drives too
+// (same RobustPolicy semantics, same typed outcomes); this file only
+// supplies the clock, so link latencies, timeouts and backoff waits
+// advance virtual time and interleave with churn: a node can depart
+// while a query sits on it.
 //
 // Flights pin nodes by identifier, not slot: the overlay's leave path
 // renames slots, so every step re-locates the holding identifier and
@@ -33,15 +34,8 @@ type flight struct {
 	hops    int
 	retries int
 
-	// Candidate fan-out at the current node. candIdx < 0 means the
-	// query just arrived at cur and candidates are not built yet.
-	cands   []candidate
-	candIdx int
-	attempt int     // resends burned on the current candidate
-	backoff float64 // next backoff wait for the current candidate
-	sawLost bool    // a lost (vs unreachable) failure at this hop
-	degrade bool    // retries, fallbacks or detours happened
-	active  bool
+	hop    overlaynet.RobustHop // candidates, attempts, backoff, verdicts
+	active bool
 
 	// Storage payload: when op != opNone the flight carries one store
 	// operation, executed on arrival by storeState.completeFlight.
@@ -52,13 +46,6 @@ type flight struct {
 	// tr is this query's sampled trace, nil for the unsampled majority.
 	// Spans are recorded in virtual time; finishFlight returns it.
 	tr *obs.Trace
-}
-
-// candidate is one improving neighbour, identifier-pinned.
-type candidate struct {
-	slot int
-	key  keyspace.Key
-	d    float64
 }
 
 // allocFlight returns a free flight slot, reusing finished ones.
@@ -103,19 +90,19 @@ func (e *Engine) startFlightOp(src int, target keyspace.Key, op uint8, opSpan fl
 	}
 	fi := e.allocFlight()
 	f := &e.flights[fi]
-	cands := f.cands[:0]
+	hop := f.hop
 	*f = flight{
-		target:  target,
-		start:   e.now,
-		cur:     src,
-		curKey:  keys[src],
-		cands:   cands,
-		candIdx: -1,
-		active:  true,
-		op:      op,
-		opKey:   target,
-		opSpan:  opSpan,
+		target: target,
+		start:  e.now,
+		cur:    src,
+		curKey: keys[src],
+		hop:    hop,
+		active: true,
+		op:     op,
+		opKey:  target,
+		opSpan: opSpan,
 	}
+	f.hop.Reset(&e.pol)
 	f.tr = e.obsSampler.Start(flightOpName(op), src, float64(target), e.now)
 	e.stepFlight(fi)
 }
@@ -148,70 +135,52 @@ func (e *Engine) stepFlight(fi int) {
 		e.finishFlight(fi, overlaynet.TimedOut, 0)
 		return
 	}
-	if f.candIdx < 0 {
+	h := &f.hop
+	if !h.Selected() {
 		// The query just arrived at f.cur: byzantine hijack first, then
 		// honest candidate selection.
 		if f.hops > 0 && e.model.Misroute(f.curKey) {
 			e.hijackFlight(fi)
 			return
 		}
-		e.buildFlightCands(f)
-		if len(f.cands) == 0 {
-			e.classifyFlightStop(fi)
+		dCur := e.topo.Distance(f.curKey, f.target)
+		if h.Select(e.topo, e.ov.Neighbors(f.cur), e.ov.Keys(), nil, f.curKey, f.target, dCur) == 0 {
+			e.finishFlight(fi, e.classifyStop(f, dCur), 0)
 			return
 		}
-		f.candIdx, f.attempt, f.backoff, f.sawLost = 0, 0, pol.Backoff, false
 	}
 	// One send attempt to the current candidate.
-	c := &f.cands[f.candIdx]
+	c := h.Cand()
 	del := netmodel.Delivery{Status: netmodel.SendUnreachable}
 	switch {
-	case c.slot < n && e.ov.Key(c.slot) == c.key:
-		del = e.model.Send(f.curKey, c.key)
+	case int(c.Slot) < n && e.ov.Key(int(c.Slot)) == c.Key:
+		del = e.model.Send(f.curKey, c.Key)
 	default:
-		if u := e.slotOf(c.key); u >= 0 {
-			c.slot = u
-			del = e.model.Send(f.curKey, c.key)
+		if u := e.slotOf(c.Key); u >= 0 {
+			c.Slot = int32(u)
+			del = e.model.Send(f.curKey, c.Key)
 		}
 		// Candidate departed since selection: stays unreachable.
 	}
 	if del.Status == netmodel.SendOK {
-		f.tr.Hop(e.now, del.Latency, int32(c.slot), f.candIdx, f.attempt, obs.SpanHop, c.d)
+		f.tr.Hop(e.now, del.Latency, c.Slot, h.Index(), h.Attempt(), obs.SpanHop, c.D)
 		f.hops++
-		f.cur, f.curKey = c.slot, c.key
-		f.cands = f.cands[:0]
-		f.candIdx = -1
+		f.cur, f.curKey = int(c.Slot), c.Key
+		h.Moved()
 		e.push(event{at: e.now + del.Latency, kind: evHop, proc: fi})
 		return
 	}
-	// The sender cannot tell a lost message from a dead peer: both are
-	// a timeout, both are retried; only the classifier distinguishes.
-	if del.Status == netmodel.SendLost {
-		f.sawLost = true
-	}
 	wait := pol.HopTimeout
-	f.tr.Hop(e.now, wait, int32(c.slot), f.candIdx, f.attempt, obs.SpanTimeout, c.d)
-	if f.attempt < pol.Retries {
-		f.attempt++
+	f.tr.Hop(e.now, wait, c.Slot, h.Index(), h.Attempt(), obs.SpanTimeout, c.D)
+	switch step, backoff := h.Fail(del.Status == netmodel.SendLost, e.faultRNG); step {
+	case overlaynet.HopRetry:
 		f.retries++
-		f.degrade = true
-		wait += e.backoffWait(&f.backoff)
+		e.push(event{at: e.now + (wait + backoff), kind: evHop, proc: fi})
+	case overlaynet.HopFallback:
 		e.push(event{at: e.now + wait, kind: evHop, proc: fi})
-		return
+	default:
+		e.finishFlight(fi, h.Exhausted(), wait)
 	}
-	// Candidate exhausted; fall back to the next-best neighbour.
-	f.candIdx++
-	f.attempt, f.backoff = 0, pol.Backoff
-	if f.candIdx < len(f.cands) {
-		f.degrade = true
-		e.push(event{at: e.now + wait, kind: evHop, proc: fi})
-		return
-	}
-	outcome := overlaynet.Unroutable
-	if f.sawLost {
-		outcome = overlaynet.TimedOut
-	}
-	e.finishFlight(fi, outcome, wait)
 }
 
 // hijackFlight executes a byzantine relay's detour: the query is
@@ -229,10 +198,9 @@ func (e *Engine) hijackFlight(fi int) {
 					e.topo.Distance(vKey, f.target))
 			}
 			f.hops++
-			f.degrade = true
+			f.hop.Degraded = true
 			f.cur, f.curKey = v, vKey
-			f.cands = f.cands[:0]
-			f.candIdx = -1
+			f.hop.Moved()
 			e.push(event{at: e.now + del.Latency, kind: evHop, proc: fi})
 			return
 		}
@@ -240,35 +208,11 @@ func (e *Engine) hijackFlight(fi int) {
 	e.finishFlight(fi, overlaynet.TimedOut, e.pol.HopTimeout)
 }
 
-// buildFlightCands fills f.cands with the holder's improving
-// neighbours in ascending distance order, pinning each by identifier.
-func (e *Engine) buildFlightCands(f *flight) {
+// classifyStop types a flight stopped at a live local minimum at
+// distance dCur (see overlaynet.RobustHop.Stop), scanning the
+// population for the target's nearest and nearest live nodes.
+func (e *Engine) classifyStop(f *flight, dCur float64) overlaynet.Outcome {
 	topo := e.topo
-	dCur := topo.Distance(f.curKey, f.target)
-	f.cands = f.cands[:0]
-	for _, v := range e.ov.Neighbors(f.cur) {
-		vKey := e.ov.Key(int(v))
-		d := topo.Distance(vKey, f.target)
-		if d < dCur || (d == dCur && topo.Advances(f.curKey, vKey, f.target)) {
-			f.cands = append(f.cands, candidate{slot: int(v), key: vKey, d: d})
-		}
-	}
-	// Insertion sort by distance; candidate lists are short.
-	for i := 1; i < len(f.cands); i++ {
-		for j := i; j > 0 && f.cands[j].d < f.cands[j-1].d; j-- {
-			f.cands[j], f.cands[j-1] = f.cands[j-1], f.cands[j]
-		}
-	}
-}
-
-// classifyFlightStop types a flight that stopped at a live local
-// minimum, mirroring RobustRouter.classifyStop: Delivered at a
-// minimal-distance node, DeliveredDegraded at the closest *live* node
-// (the responsible node is crashed), Unroutable otherwise.
-func (e *Engine) classifyFlightStop(fi int) {
-	f := &e.flights[fi]
-	topo := e.topo
-	dCur := topo.Distance(f.curKey, f.target)
 	bestAll := topo.MaxDistance() + 1
 	bestLive := bestAll
 	for _, k := range e.ov.Keys() {
@@ -280,14 +224,7 @@ func (e *Engine) classifyFlightStop(fi int) {
 			bestLive = d
 		}
 	}
-	switch {
-	case dCur <= bestAll && !f.degrade:
-		e.finishFlight(fi, overlaynet.Delivered, 0)
-	case dCur <= bestAll || dCur <= bestLive:
-		e.finishFlight(fi, overlaynet.DeliveredDegraded, 0)
-	default:
-		e.finishFlight(fi, overlaynet.Unroutable, 0)
-	}
+	return f.hop.Stop(dCur, bestAll, bestLive)
 }
 
 // finishFlight records the flight's outcome — end-to-end wall latency
@@ -306,17 +243,6 @@ func (e *Engine) finishFlight(fi int, o overlaynet.Outcome, extra float64) {
 	}
 	f.active = false
 	e.freeFl = append(e.freeFl, fi)
-}
-
-// backoffWait returns the next backoff wait (jittered from faultRNG)
-// and doubles the base for the following one.
-func (e *Engine) backoffWait(base *float64) float64 {
-	w := *base
-	*base *= 2
-	if e.pol.Jitter > 0 {
-		w *= 1 + e.pol.Jitter*(2*e.faultRNG.Float64()-1)
-	}
-	return w
 }
 
 // slotOf returns the slot currently holding identifier k, or -1.
